@@ -70,7 +70,12 @@ from repro.fi.injector import inject
 from repro.fi.outcomes import Outcome, classify_direct_answer, classify_generative
 from repro.fi.sites import FaultSite, LayerFilter, sample_site
 from repro.generation.batched import BatchedDecoder, decode_batching_safe
-from repro.generation.decode import GenerationConfig, choose_option, generate_ids
+from repro.generation.decode import (
+    GenerationConfig,
+    choose_option,
+    generate_ids,
+    greedy_pick,
+)
 from repro.generation.spec_batched import BatchedSpeculativeDecoder
 from repro.generation.speculative import SpeculativeDecoder, decode_speculation_safe
 from repro.inference.engine import CaptureState, InferenceEngine
@@ -1409,10 +1414,7 @@ class FICampaign:
             session = self.engine.start_session(prompt)
             logits = session.last_logits
             for step in range(strike):
-                try:
-                    token = int(np.nanargmax(logits))
-                except ValueError:  # all-NaN logits (cannot happen fault-free)
-                    token = 0
+                token = greedy_pick(logits)
                 if token == self.generation.eos_id:
                     return None  # baseline ended before the strike
                 if step == strike - 1:

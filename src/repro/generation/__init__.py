@@ -8,6 +8,8 @@ from repro.generation.decode import (
     choose_option,
     generate_ids,
     greedy_decode,
+    greedy_pick,
+    greedy_pick_rows,
     score_continuation,
     score_options,
 )
@@ -28,6 +30,8 @@ __all__ = [
     "decode_speculation_safe",
     "generate_ids",
     "greedy_decode",
+    "greedy_pick",
+    "greedy_pick_rows",
     "score_continuation",
     "score_options",
 ]

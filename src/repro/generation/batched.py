@@ -8,10 +8,12 @@ engines do:
 
 * **Continuous batching** — up to ``max_batch`` prompts decode
   together, one :meth:`~repro.inference.engine.InferenceEngine.forward_step_batch`
-  per token for the whole batch; a sequence that hits EOS or its length
-  limit retires immediately and its slot is back-filled from the
-  pending queue, so the batch stays full instead of draining to the
-  slowest sequence.
+  per token for the whole batch (flattened GEMMs plus one ragged-row
+  attention kernel over every row's own KV prefix) and one row-wise
+  greedy pick over its ``(B, vocab)`` logits; a sequence that hits EOS
+  or its length limit retires immediately and its slot is back-filled
+  from the pending queue, so the batch stays full instead of draining
+  to the slowest sequence.
 * **Pooled KV cache** — sequences decode out of
   :class:`~repro.inference.kvcache.PooledKVCache` slot rows, so
   admissions and refills allocate nothing, and beam forks are bounded
@@ -29,7 +31,8 @@ computational injectors) — each hook invocation receives one row's
 hooks (detectors, probes), armed weight faults and activation capture
 force the exact serial reference path, mirroring PR 2's option-scoring
 gate.  ``B == 1`` batched decoding is bit-identical to the serial path
-by construction (same-shaped operations throughout); ``B > 1`` agrees
+by construction (same-shaped operations throughout; a lone row's
+attention reads its cache views with no padding); ``B > 1`` agrees
 up to float associativity and is asserted identical at the
 decoded-token level by the equivalence tests.
 """
@@ -42,7 +45,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.autograd.functional import log_softmax_np
-from repro.generation.decode import GenerationConfig
+from repro.generation.decode import (
+    GenerationConfig,
+    greedy_pick,
+    greedy_pick_rows,
+)
 from repro.inference.engine import InferenceEngine, Session
 from repro.inference.kvcache import KVCache, PooledKVCache
 from repro.obs.runtime import telemetry as _telemetry
@@ -82,14 +89,6 @@ def decode_batching_safe(engine: InferenceEngine) -> bool:
     if len(engine.hooks) == 0:
         return True
     return engine.hooks.all_row_scoped()
-
-
-def _pick(logits: np.ndarray) -> int:
-    """NaN-safe argmax, identical to the serial greedy rule."""
-    try:
-        return int(np.nanargmax(logits))
-    except ValueError:  # all-NaN logits
-        return 0
 
 
 def _normalized(tokens: list[int], score: float, length_penalty: float) -> float:
@@ -275,7 +274,7 @@ class BatchedDecoder:
                 )
             if traced and refill:
                 tel.metrics.counter("decode.slot_refills").add()
-            token = _pick(logits)
+            token = greedy_pick(logits)
             if token == eos:
                 finish(seq)
                 return
@@ -305,10 +304,9 @@ class BatchedDecoder:
                 [seq.iteration + 1 for seq in active],
             )
             still: list[_Seq] = []
-            for i, seq in enumerate(active):
+            for seq, token in zip(active, greedy_pick_rows(logits)):
                 seq.iteration += 1
                 seq.position += 1
-                token = _pick(logits[i])
                 if token == eos:
                     finish(seq)
                     continue

@@ -25,6 +25,8 @@ from repro.obs.runtime import telemetry as _telemetry
 
 __all__ = [
     "GenerationConfig",
+    "greedy_pick",
+    "greedy_pick_rows",
     "greedy_decode",
     "beam_search_decode",
     "generate_ids",
@@ -32,6 +34,33 @@ __all__ = [
     "score_options",
     "choose_option",
 ]
+
+
+def greedy_pick(logits: np.ndarray) -> int:
+    """The greedy rule: NaN-safe argmax over one row of logits.
+
+    Corrupted runs can produce NaN logits; NaN entries are skipped and
+    all-NaN logits map to token 0, deterministically.  The exceptional
+    branch costs nothing on healthy logits — unlike a per-token
+    full-vocab isnan scan.
+    """
+    try:
+        return int(np.nanargmax(logits))
+    except ValueError:  # all-NaN logits
+        return 0
+
+
+def greedy_pick_rows(logits: np.ndarray) -> list[int]:
+    """:func:`greedy_pick` of every row of ``(B, vocab)`` logits.
+
+    One vectorized ``argmax`` serves every healthy row.  ``argmax``
+    lands on the first NaN of a row that holds one, so only such rows
+    fall back to the scalar rule.
+    """
+    picks = logits.argmax(axis=-1)
+    for i in np.flatnonzero(np.isnan(logits[np.arange(len(picks)), picks])):
+        picks[i] = greedy_pick(logits[i])
+    return picks.tolist()
 
 
 @dataclass(frozen=True)
@@ -126,14 +155,7 @@ def greedy_decode(
     out: list[int] = []
     logits = session.last_logits
     for _ in range(config.max_new_tokens):
-        # NaN-safe argmax: corrupted runs can produce all-NaN logits,
-        # which we map to EOS-free garbage deterministically.  The
-        # exceptional branch costs nothing on healthy logits — unlike a
-        # per-token full-vocab isnan scan.
-        try:
-            token = int(np.nanargmax(logits))
-        except ValueError:  # all-NaN logits
-            token = 0
+        token = greedy_pick(logits)
         if token == config.eos_id:
             break
         out.append(token)

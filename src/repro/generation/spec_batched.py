@@ -64,8 +64,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.generation.batched import BatchedDecoder, decode_batching_safe
-from repro.generation.decode import GenerationConfig
-from repro.generation.speculative import _pick, decode_speculation_safe
+from repro.generation.decode import (
+    GenerationConfig,
+    greedy_pick,
+    greedy_pick_rows,
+)
+from repro.generation.speculative import decode_speculation_safe
 from repro.inference.engine import InferenceEngine, Session
 from repro.inference.kvcache import KVCache, PooledKVCache
 from repro.obs.runtime import telemetry as _telemetry
@@ -239,7 +243,7 @@ class BatchedSpeculativeDecoder:
                     logits = engine.forward(
                         prompt, caches, start_pos=0, iteration=0
                     )[-1]
-                first = _pick(logits)
+                first = greedy_pick(logits)
                 if first == eos:
                     results[index] = []
                     if slot is not None:
@@ -304,7 +308,7 @@ class BatchedSpeculativeDecoder:
                 for step in range(max(gammas)):
                     alive = [i for i in prop if gammas[i] > step]
                     for i in alive:
-                        proposals[i].append(_pick(d_logits[i]))
+                        proposals[i].append(greedy_pick(d_logits[i]))
                     feed = [i for i in alive if gammas[i] > step + 1]
                     if feed:
                         logits = draft.forward_step_batch(
@@ -337,11 +341,9 @@ class BatchedSpeculativeDecoder:
             # Per-row commit/rollback — the serial accept walk verbatim.
             still: list[_SpecRow] = []
             for i, row in enumerate(active):
-                chunk, logits = chunks[i], v_logits[i]
                 accepted = 0
                 stop = False
-                for j in range(len(chunk)):
-                    token = _pick(logits[j])
+                for j, token in enumerate(greedy_pick_rows(v_logits[i])):
                     if token == eos:
                         stop = True
                         break

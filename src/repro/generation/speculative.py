@@ -52,9 +52,11 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
-from repro.generation.decode import GenerationConfig
+from repro.generation.decode import (
+    GenerationConfig,
+    greedy_pick,
+    greedy_pick_rows,
+)
 from repro.inference.engine import InferenceEngine, Session
 from repro.obs.runtime import telemetry as _telemetry
 
@@ -100,14 +102,6 @@ def decode_speculation_safe(
         if len(e.hooks) > 0 and not e.hooks.all_observers():
             return False
     return True
-
-
-def _pick(logits) -> int:
-    """NaN-safe argmax, identical to the serial greedy rule."""
-    try:
-        return int(np.nanargmax(logits))
-    except ValueError:  # all-NaN logits
-        return 0
 
 
 class SpeculativeDecoder:
@@ -189,7 +183,7 @@ class SpeculativeDecoder:
         if session is None:
             session = engine.start_session(prompt_ids)
         caches = session.caches
-        first = _pick(session.last_logits)
+        first = greedy_pick(session.last_logits)
         if first == eos:
             return []
         out = [first]
@@ -220,7 +214,7 @@ class SpeculativeDecoder:
                 )[-1]
                 d_len += len(feed)
                 for i in range(gamma):
-                    token = _pick(d_logits)
+                    token = greedy_pick(d_logits)
                     proposals.append(token)
                     if i < gamma - 1:
                         d_logits = draft.forward(
@@ -235,8 +229,7 @@ class SpeculativeDecoder:
             )
             accepted = 0
             stop = False
-            for j in range(len(chunk)):
-                token = _pick(logits[j])
+            for j, token in enumerate(greedy_pick_rows(logits)):
                 if token == eos:
                     stop = True
                     break

@@ -572,138 +572,23 @@ class InferenceEngine:
         per-block list — typically :class:`PooledKVCache` slot views)
         and its K/V **is appended**; per-row positions and iteration
         counts may be ragged, which is what continuous batching needs.
-        The linear layers run as single flattened ``(B, D)`` GEMMs while
-        the attention core runs per row against that row's own cache —
-        for ``B == 1`` every operation matches the serial
-        ``Session.step`` path shape-for-shape, so results are
-        bit-identical and fault hooks observe identical tensors.
+        Linear layers run as single flattened ``(B, D)`` GEMMs and the
+        attention core is one ragged-row kernel over every row (see
+        :meth:`_attention_rows`); for ``B == 1`` every operation
+        matches the serial ``Session.step`` path shape-for-shape, so
+        results are bit-identical and fault hooks observe identical
+        tensors.
 
-        Hooks are applied per row (see :meth:`_emit`); activation
-        capture is not supported on this path — use the serial forward.
-        Returns logits of shape ``(B, vocab)``.
+        Hooks are applied per row on ``(1, features)`` views (see
+        :meth:`_emit`) and an armed accumulator fault strikes per row;
+        activation capture is not supported on this path — use the
+        serial forward.  Returns logits of shape ``(B, vocab)``.
         """
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.ndim != 1:
             raise ValueError(f"tokens must be a 1-D batch of ids, got {ids.shape}")
-        if self.capture is not None:
-            raise RuntimeError(
-                "forward_step_batch does not support activation capture;"
-                " use the serial per-sequence path"
-            )
-        if len(row_caches) != ids.shape[0]:
-            raise ValueError(
-                f"{ids.shape[0]} tokens but {len(row_caches)} cache rows"
-            )
-        pos = np.asarray(positions, dtype=np.int64)
-        its = np.asarray(iterations, dtype=np.int64)
-        tel = _telemetry()
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if not tel.active:
-                return self._step_batch_impl(ids, row_caches, pos, its)
-            t0 = time.perf_counter()
-            out = self._step_batch_impl(ids, row_caches, pos, its)
-            metrics = tel.metrics
-            metrics.histogram("engine.forward_ms").observe(
-                (time.perf_counter() - t0) * 1e3
-            )
-            metrics.counter("engine.forward_calls").add()
-            metrics.counter("engine.tokens").add(ids.size)
-            return out
-
-    def _step_batch_impl(
-        self,
-        ids: np.ndarray,
-        row_caches: list[list[KVCache]],
-        positions: np.ndarray,
-        iterations: np.ndarray,
-    ) -> np.ndarray:
-        cfg = self.config
-        rows = np.arange(ids.shape[0])
-        x = self._plain["embed.weight"][ids]  # (B, D)
-        cos = self._cos[positions][:, None, :]  # (B, 1, hd)
-        sin = self._sin[positions][:, None, :]
-        for b in range(cfg.n_blocks):
-            prefix = f"blocks.{b}."
-            h = rms_norm_np(
-                x, self._plain[prefix + "attn_norm.weight"], cfg.norm_eps
-            )
-            x = x + self._attention_step(
-                h, b, row_caches, cos, sin, iterations, rows
-            )
-            h = rms_norm_np(x, self._plain[prefix + "mlp_norm.weight"], cfg.norm_eps)
-            if cfg.is_moe:
-                x = x + self._moe(h, b, iterations, rows=rows)
-            else:
-                x = x + self._mlp(h, b, iterations, rows=rows)
-        x = rms_norm_np(x, self._plain["final_norm.weight"], cfg.norm_eps)
-        return x @ self._plain["lm_head.weight"]
-
-    def _attention_step(
-        self,
-        x: np.ndarray,
-        block: int,
-        row_caches: list[list[KVCache]],
-        cos: np.ndarray,
-        sin: np.ndarray,
-        iterations: np.ndarray,
-        rows: np.ndarray,
-    ) -> np.ndarray:
-        """Attention for one batched decode step: shared projections,
-        per-row cache append + score/softmax/context (rows are ragged —
-        each attends to its own cache's filled prefix plus itself)."""
-        cfg = self.config
-        prefix = f"blocks.{block}."
-        heads, hd = cfg.n_heads, cfg.head_dim
-        batch = x.shape[0]
-
-        q = self._emit(
-            self._linear(x, prefix + "q_proj", iterations, rows),
-            block,
-            "q_proj",
-            iterations,
-            rows,
-        )
-        k = self._emit(
-            self._linear(x, prefix + "k_proj", iterations, rows),
-            block,
-            "k_proj",
-            iterations,
-            rows,
-        )
-        v = self._emit(
-            self._linear(x, prefix + "v_proj", iterations, rows),
-            block,
-            "v_proj",
-            iterations,
-            rows,
-        )
-        q = q.reshape(batch, heads, hd)
-        k = k.reshape(batch, heads, hd)
-        v = v.reshape(batch, heads, hd)
-        half = hd // 2
-
-        def rot(a: np.ndarray) -> np.ndarray:
-            rotated = np.concatenate([-a[..., half:], a[..., :half]], axis=-1)
-            return a * cos + rotated * sin
-
-        q, k = rot(q), rot(k)
-        scale = np.float32(hd**-0.5)
-        ctx = np.empty((batch, cfg.d_model), dtype=np.float32)
-        for i in range(batch):
-            cache = row_caches[i][block]
-            cache.append(k[i][:, None, :], v[i][:, None, :])
-            if self.kv_fault is not None:
-                self.kv_fault.on_append(block, cache, int(iterations[i]))
-            keys, values = cache.keys(), cache.values()
-            scores = (q[i][:, None, :] @ keys.swapaxes(-1, -2)) * scale
-            attn = softmax_np(scores, axis=-1)
-            ctx[i] = (attn @ values).transpose(1, 0, 2).reshape(cfg.d_model)
-        return self._emit(
-            self._linear(ctx, prefix + "out_proj", iterations, rows),
-            block,
-            "out_proj",
-            iterations,
-            rows,
+        return self._forward_rows(
+            "forward_step_batch", ids, row_caches, positions, iterations
         )
 
     def forward_chunk_batch(
@@ -727,11 +612,12 @@ class InferenceEngine:
 
         Linear layers run as single flattened ``(B*t, D)`` GEMMs; RoPE
         tables are gathered per row from the ragged positions; the
-        attention core runs per row against that row's own cache
-        (which, after the append, holds prefix + chunk) under the
-        standard causal mask.  For ``B == 1`` every operation is
-        shape-identical to the 1-D chunked :meth:`forward`, so logits
-        are bit-identical to the serial speculative verify path.
+        attention core is the same ragged-row kernel as the step path,
+        where each row sees its own cache (prefix + chunk, after the
+        append) under the standard causal mask.  For ``B == 1`` every
+        operation is shape-identical to the 1-D chunked
+        :meth:`forward`, so logits are bit-identical to the serial
+        speculative verify path.
 
         ``iterations[i]`` tags row ``i``'s chunk with its generation
         iteration (the round's first emitted-token index, matching the
@@ -752,11 +638,6 @@ class InferenceEngine:
             raise ValueError(
                 f"tokens must be a rectangular (B, t) batch, got {ids.shape}"
             )
-        if self.capture is not None:
-            raise RuntimeError(
-                "forward_chunk_batch does not support activation capture;"
-                " use the serial per-sequence path"
-            )
         if self.acc_fault is not None:
             raise RuntimeError(
                 "forward_chunk_batch cannot honor an armed accumulator"
@@ -764,18 +645,38 @@ class InferenceEngine:
                 " decode gate matrix must route acc faults to the"
                 " batched or serial paths"
             )
+        return self._forward_rows(
+            "forward_chunk_batch", ids, row_caches, positions, iterations
+        )
+
+    def _forward_rows(
+        self,
+        entry: str,
+        ids: np.ndarray,
+        row_caches: list[list[KVCache]],
+        positions: np.ndarray | list[int],
+        iterations: np.ndarray | list[int],
+    ) -> np.ndarray:
+        """Shared body of the ragged-row entry points: ``ids`` is
+        ``(B,)`` for a step or ``(B, t)`` for a chunk."""
+        if self.capture is not None:
+            raise RuntimeError(
+                f"{entry} does not support activation capture;"
+                " use the serial per-sequence path"
+            )
         if len(row_caches) != ids.shape[0]:
             raise ValueError(
-                f"{ids.shape[0]} chunk rows but {len(row_caches)} cache rows"
+                f"{ids.shape[0]} token rows but {len(row_caches)} cache rows"
             )
         pos = np.asarray(positions, dtype=np.int64)
         its = np.asarray(iterations, dtype=np.int64)
         tel = _telemetry()
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if not tel.active:
-                return self._chunk_batch_impl(ids, row_caches, pos, its)
+                return self._rows_impl(ids, row_caches, pos, its)
             t0 = time.perf_counter()
-            out = self._chunk_batch_impl(ids, row_caches, pos, its)
+            tel.marks["forward_start"] = t0
+            out = self._rows_impl(ids, row_caches, pos, its)
             metrics = tel.metrics
             metrics.histogram("engine.forward_ms").observe(
                 (time.perf_counter() - t0) * 1e3
@@ -784,7 +685,7 @@ class InferenceEngine:
             metrics.counter("engine.tokens").add(ids.size)
             return out
 
-    def _chunk_batch_impl(
+    def _rows_impl(
         self,
         ids: np.ndarray,
         row_caches: list[list[KVCache]],
@@ -792,32 +693,41 @@ class InferenceEngine:
         iterations: np.ndarray,
     ) -> np.ndarray:
         cfg = self.config
-        batch, t = ids.shape
+        batch = ids.shape[0]
+        t = 1 if ids.ndim == 1 else ids.shape[1]
         rows = np.arange(batch)
-        offs = np.arange(t)
-        x = self._plain["embed.weight"][ids]  # (B, t, D)
-        # Per-row RoPE gather: row i rotates positions[i] .. positions[i]+t-1.
-        gather = positions[:, None] + offs[None, :]
-        cos = self._cos[gather][:, None, :, :]  # (B, 1, t, hd)
-        sin = self._sin[gather][:, None, :, :]
-        # Ragged prefix lengths make the causal masks per-row: the
-        # prefix is fully visible, the chunk is causal within itself —
-        # the same mask the 1-D chunked forward builds from start_pos.
-        masks: list[np.ndarray | None]
-        if t > 1:
-            masks = [
-                np.arange(int(p) + t)[None, :] <= (int(p) + offs)[:, None]
-                for p in positions
-            ]
-        else:
-            masks = [None] * batch
+        x = self._plain["embed.weight"][ids]  # (B, D) or (B, t, D)
+        # Row i holds positions[i] .. positions[i]+t-1: per-row RoPE
+        # gather, and one (B, t, L) mask per forward in which query j
+        # of row i sees keys 0 .. positions[i]+j — the causal mask of
+        # the 1-D chunked forward, which also hides the zero tail that
+        # pads shorter rows out to the longest.  A single row reads its
+        # cache directly, so a lone decode step needs no mask at all.
+        span = positions[:, None] + np.arange(t)
+        cos = self._cos.take(span[:, None], axis=0)  # (B, 1, t, hd)
+        sin = self._sin.take(span[:, None], axis=0)
+        # RoPE rotates a = [a1, a2] into a*cos + [-a2, a1]*sin.  Folding
+        # the sign into sin once per forward, not once per rotation,
+        # is exact: IEEE products are symmetric in sign.
+        half = cfg.head_dim // 2
+        sin = np.concatenate([-sin[..., :half], sin[..., half:]], axis=-1)
+        allowed: np.ndarray | None = None
+        if batch > 1 or t > 1:
+            allowed = np.arange(int(span.max()) + 1) <= span[..., None]
+        pad: tuple[np.ndarray, np.ndarray] | None = None
+        if batch > 1:
+            shape = (batch, cfg.n_heads, allowed.shape[-1], cfg.head_dim)
+            pad = (
+                np.zeros(shape, dtype=np.float32),
+                np.zeros(shape, dtype=np.float32),
+            )
         for b in range(cfg.n_blocks):
             prefix = f"blocks.{b}."
             h = rms_norm_np(
                 x, self._plain[prefix + "attn_norm.weight"], cfg.norm_eps
             )
-            x = x + self._attention_chunk(
-                h, b, row_caches, cos, sin, masks, iterations, rows
+            x = x + self._attention_rows(
+                h, b, row_caches, cos, sin, allowed, pad, iterations, rows
             )
             h = rms_norm_np(x, self._plain[prefix + "mlp_norm.weight"], cfg.norm_eps)
             if cfg.is_moe:
@@ -826,63 +736,88 @@ class InferenceEngine:
                 x = x + self._mlp(h, b, iterations, rows=rows)
         x = rms_norm_np(x, self._plain["final_norm.weight"], cfg.norm_eps)
         head = self._plain["lm_head.weight"]
+        if x.ndim == 2:
+            return x @ head
         return (x.reshape(-1, x.shape[-1]) @ head).reshape(batch, t, -1)
 
-    def _attention_chunk(
+    def _attention_rows(
         self,
         x: np.ndarray,
         block: int,
         row_caches: list[list[KVCache]],
         cos: np.ndarray,
         sin: np.ndarray,
-        masks: "list[np.ndarray | None]",
+        allowed: np.ndarray | None,
+        pad: tuple[np.ndarray, np.ndarray] | None,
         iterations: np.ndarray,
         rows: np.ndarray,
     ) -> np.ndarray:
-        """Attention for one batched multi-token chunk: shared
-        projections, per-row cache append + masked score/softmax/context
-        (rows are ragged — each attends to its own cache's filled prefix
-        plus its own chunk)."""
+        """Attention for one block over ragged rows: shared projections,
+        per-row cache appends, then one masked score/softmax/context.
+
+        With ``B > 1`` each row's filled prefix is copied into the
+        zero-tailed ``pad`` buffers, ``(B, heads, L, hd)``, so the
+        kernel never reads a pooled slot past its owner's length: a
+        released slot's stale (possibly faulted NaN) K/V would leak
+        into a sibling row as ``0 * NaN`` even under the mask.  A single
+        row reads its cache views directly, with no padding to apply.
+        """
         cfg = self.config
         prefix = f"blocks.{block}."
         heads, hd = cfg.n_heads, cfg.head_dim
-        batch, t, _ = x.shape
+        batch = x.shape[0]
+        t = cos.shape[2]
 
         q = self._emit(
-            self._linear(x, prefix + "q_proj"), block, "q_proj", iterations, rows
+            self._linear(x, prefix + "q_proj", iterations, rows),
+            block,
+            "q_proj",
+            iterations,
+            rows,
         )
         k = self._emit(
-            self._linear(x, prefix + "k_proj"), block, "k_proj", iterations, rows
+            self._linear(x, prefix + "k_proj", iterations, rows),
+            block,
+            "k_proj",
+            iterations,
+            rows,
         )
         v = self._emit(
-            self._linear(x, prefix + "v_proj"), block, "v_proj", iterations, rows
+            self._linear(x, prefix + "v_proj", iterations, rows),
+            block,
+            "v_proj",
+            iterations,
+            rows,
         )
         split = (batch, t, heads, hd)
         q = q.reshape(split).swapaxes(1, 2)  # (B, heads, t, hd)
         k = k.reshape(split).swapaxes(1, 2)
         v = v.reshape(split).swapaxes(1, 2)
         half = hd // 2
-
-        def rot(a: np.ndarray) -> np.ndarray:
-            rotated = np.concatenate([-a[..., half:], a[..., :half]], axis=-1)
-            return a * cos + rotated * sin
-
-        q, k = rot(q), rot(k)
-        scale = np.float32(hd**-0.5)
-        ctx = np.empty((batch, t, cfg.d_model), dtype=np.float32)
-        for i in range(batch):
-            cache = row_caches[i][block]
+        q = q * cos + np.concatenate([q[..., half:], q[..., :half]], -1) * sin
+        k = k * cos + np.concatenate([k[..., half:], k[..., :half]], -1) * sin
+        caches = [row[block] for row in row_caches]
+        for i, cache in enumerate(caches):
             cache.append(k[i], v[i])
             if self.kv_fault is not None:
                 self.kv_fault.on_append(block, cache, int(iterations[i]))
-            keys, values = cache.keys(), cache.values()
-            scores = (q[i] @ keys.swapaxes(-1, -2)) * scale
-            if masks[i] is not None:
-                scores = np.where(masks[i][None], scores, np.float32(-1e9))
-            attn = softmax_np(scores, axis=-1)
-            ctx[i] = (attn @ values).transpose(1, 0, 2).reshape(t, cfg.d_model)
+        if pad is None:
+            q = q[0]
+            keys, values = caches[0].keys(), caches[0].values()
+            mask = None if allowed is None else allowed[0]
+        else:
+            keys, values = pad
+            for i, cache in enumerate(caches):
+                keys[i, :, : cache.length] = cache.keys()
+                values[i, :, : cache.length] = cache.values()
+            mask = allowed[:, None]
+        scores = (q @ keys.swapaxes(-1, -2)) * np.float32(hd**-0.5)
+        if mask is not None:
+            scores = np.where(mask, scores, np.float32(-1e9))
+        attn = softmax_np(scores, axis=-1)
+        ctx = (attn @ values).swapaxes(-3, -2).reshape(x.shape)
         return self._emit(
-            self._linear(ctx, prefix + "out_proj"),
+            self._linear(ctx, prefix + "out_proj", iterations, rows),
             block,
             "out_proj",
             iterations,

@@ -62,7 +62,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.generation.decode import GenerationConfig
+from repro.generation.decode import (
+    GenerationConfig,
+    greedy_pick,
+    greedy_pick_rows,
+)
 from repro.generation.spec_batched import _by_length
 from repro.inference.engine import InferenceEngine
 from repro.inference.kvcache import KVCache, PooledKVCache
@@ -78,14 +82,6 @@ __all__ = ["InferenceServer", "StreamHandle", "ServeRejected", "TenantConfig"]
 
 _DONE = object()
 """Stream sentinel: pushed exactly once when a request finishes."""
-
-
-def _pick(logits: np.ndarray) -> int:
-    """NaN-safe argmax, identical to the serial greedy rule."""
-    try:
-        return int(np.nanargmax(logits))
-    except ValueError:  # all-NaN logits
-        return 0
 
 
 class StreamHandle:
@@ -508,7 +504,7 @@ class InferenceServer:
         if request.cancelled:
             self._finish(request, "cancelled")
             return
-        token = _pick(logits)
+        token = greedy_pick(logits)
         now = time.perf_counter()
         if token == self.config.eos_id:
             self._finish(request, "eos")
@@ -560,10 +556,9 @@ class InferenceServer:
         )
         now = time.perf_counter()
         still = []
-        for i, request in enumerate(self._active):
+        for request, token in zip(self._active, greedy_pick_rows(logits)):
             request.iteration += 1
             request.position += 1
-            token = _pick(logits[i])
             if token == self.config.eos_id:
                 self._finish(request, "eos")
                 continue
@@ -626,7 +621,7 @@ class InferenceServer:
             for step in range(max(gammas)):
                 alive = [i for i in prop if gammas[i] > step]
                 for i in alive:
-                    proposals[i].append(_pick(d_logits[i]))
+                    proposals[i].append(greedy_pick(d_logits[i]))
                 feed = [i for i in alive if gammas[i] > step + 1]
                 if feed:
                     logits = draft.forward_step_batch(
@@ -660,11 +655,9 @@ class InferenceServer:
         now = time.perf_counter()
         still: list[_Request] = []
         for i, request in enumerate(active):
-            chunk, logits = chunks[i], v_logits[i]
             accepted = 0
             stop = False
-            for j in range(len(chunk)):
-                token = _pick(logits[j])
+            for j, token in enumerate(greedy_pick_rows(v_logits[i])):
                 if token == eos:
                     stop = True
                     break
