@@ -13,7 +13,11 @@ engines do:
   greedy pick over its ``(B, vocab)`` logits; a sequence that hits EOS
   or its length limit retires immediately and its slot is back-filled
   from the pending queue, so the batch stays full instead of draining
-  to the slowest sequence.
+  to the slowest sequence.  The round is
+  :meth:`RowBatch.step <repro.generation.rows.RowBatch.step>`, the one
+  core under this decoder, the speculative decoder and the serving
+  pump; :meth:`BatchedDecoder.decode_many` is its offline
+  :func:`~repro.generation.rows.drive` loop.
 * **Pooled KV cache** — sequences decode out of
   :class:`~repro.inference.kvcache.PooledKVCache` slot rows, so
   admissions and refills allocate nothing, and beam forks are bounded
@@ -39,19 +43,15 @@ decoded-token level by the equivalence tests.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.autograd.functional import log_softmax_np
-from repro.generation.decode import (
-    GenerationConfig,
-    greedy_pick,
-    greedy_pick_rows,
-)
+from repro.generation.decode import GenerationConfig
+from repro.generation.rows import RowBatch, drive
 from repro.inference.engine import InferenceEngine, Session
-from repro.inference.kvcache import KVCache, PooledKVCache
+from repro.inference.kvcache import PooledKVCache
 from repro.obs.runtime import telemetry as _telemetry
 
 __all__ = ["BatchedDecoder", "decode_batching_safe"]
@@ -94,19 +94,6 @@ def decode_batching_safe(engine: InferenceEngine) -> bool:
 def _normalized(tokens: list[int], score: float, length_penalty: float) -> float:
     length = max(1, len(tokens))
     return score / length**length_penalty
-
-
-@dataclass
-class _Seq:
-    """One active greedy sequence (a pool slot's occupant)."""
-
-    index: int
-    slot: int | None
-    caches: list[KVCache]
-    position: int
-    iteration: int
-    last_token: int
-    out: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -208,120 +195,18 @@ class BatchedDecoder:
                 for p, s in zip(prompts, sessions)
             ]
         tel = _telemetry()
+        pool = self._ensure_pool(min(self.max_batch, max(1, len(prompts))))
+        batch = RowBatch(self.engine, pool, self.config.eos_id, self.max_batch)
+        max_new = self.config.max_new_tokens
         if not tel.active:
-            return self._decode_many_impl(prompts, sessions, tel)
+            return drive(batch, prompts, max_new, sessions, tel)
         with tel.span(
             "decode.batch",
             prompts=len(prompts),
             max_batch=self.max_batch,
         ) as span:
-            results = self._decode_many_impl(prompts, sessions, tel)
+            results = drive(batch, prompts, max_new, sessions, tel)
             span.set(new_tokens=sum(len(r) for r in results))
-        return results
-
-    def _decode_many_impl(
-        self, prompts: list[list[int]], sessions: list, tel
-    ) -> list[list[int]]:
-        engine = self.engine
-        eos = self.config.eos_id
-        max_new = self.config.max_new_tokens
-        results: list[list[int]] = [[] for _ in prompts]
-        pending: deque[int] = deque(range(len(prompts)))
-        pool = self._ensure_pool(min(self.max_batch, max(1, len(prompts))))
-        active: list[_Seq] = []
-        traced = tel.active
-
-        def finish(seq: _Seq) -> None:
-            results[seq.index] = seq.out
-            if seq.slot is not None:
-                pool.release(seq.slot)
-            if traced:
-                # Real admissible capacity, *after* the eager release —
-                # the serving loop admits against this gauge.
-                tel.metrics.gauge("decode.free_slots").set(pool.n_free)
-
-        def admit(refill: bool) -> None:
-            """Prefill the next pending prompt into a free slot; may
-            retire it immediately (EOS-first or 1-token budgets)."""
-            idx = pending.popleft()
-            session = sessions[idx]
-            if session is not None:
-                seq = _Seq(
-                    index=idx,
-                    slot=None,
-                    caches=session.caches,
-                    position=session.position,
-                    iteration=session.iteration,
-                    last_token=-1,
-                )
-                logits = session.last_logits
-            else:
-                prompt = prompts[idx]
-                if not prompt:
-                    raise ValueError("prompt must contain at least one token")
-                slot = pool.acquire()
-                caches = pool.caches(slot)
-                logits = engine.forward(
-                    prompt, caches, start_pos=0, iteration=0
-                )[-1]
-                seq = _Seq(
-                    index=idx,
-                    slot=slot,
-                    caches=caches,
-                    position=len(prompt),
-                    iteration=0,
-                    last_token=-1,
-                )
-            if traced and refill:
-                tel.metrics.counter("decode.slot_refills").add()
-            token = greedy_pick(logits)
-            if token == eos:
-                finish(seq)
-                return
-            seq.out.append(token)
-            if len(seq.out) >= max_new:
-                finish(seq)
-                return
-            seq.last_token = token
-            active.append(seq)
-
-        def fill(refill: bool) -> None:
-            while pending and len(active) < self.max_batch:
-                admit(refill)
-            if traced:
-                tel.metrics.gauge("decode.free_slots").set(pool.n_free)
-
-        fill(refill=False)
-        while active:
-            if traced:
-                tel.metrics.histogram("decode.batch_occupancy").observe(
-                    len(active)
-                )
-            logits = engine.forward_step_batch(
-                [seq.last_token for seq in active],
-                [seq.caches for seq in active],
-                [seq.position for seq in active],
-                [seq.iteration + 1 for seq in active],
-            )
-            still: list[_Seq] = []
-            for seq, token in zip(active, greedy_pick_rows(logits)):
-                seq.iteration += 1
-                seq.position += 1
-                if token == eos:
-                    finish(seq)
-                    continue
-                seq.out.append(token)
-                if len(seq.out) >= max_new:
-                    # The serial loop would run one final forward whose
-                    # logits are discarded; skip it — fault sites are
-                    # sampled strictly below max_new_tokens, so no
-                    # injection can target the skipped step.
-                    finish(seq)
-                    continue
-                seq.last_token = token
-                still.append(seq)
-            active = still
-            fill(refill=True)
         return results
 
     # -- batched beam search ---------------------------------------------------

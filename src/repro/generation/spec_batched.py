@@ -27,6 +27,13 @@ multiply instead of competing:
   freed slots from the pending queue (continuous batching at the round
   level).
 
+The round is :meth:`RowBatch.spec_round
+<repro.generation.rows.RowBatch.spec_round>`, one core under this
+decoder, :class:`~repro.generation.batched.BatchedDecoder` and the
+serving pump of :class:`~repro.serve.server.InferenceServer`;
+:meth:`BatchedSpeculativeDecoder.decode_many` is its offline
+:func:`~repro.generation.rows.drive` loop.
+
 **Equivalence contract**: every emitted token is an argmax of *target*
 logits over the true emitted prefix, so the composed schedule can never
 change which tokens are greedy-optimal — outputs are token-identical to
@@ -59,36 +66,16 @@ through the serial decoder's ``decode_one(force=True)``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.generation.batched import BatchedDecoder, decode_batching_safe
-from repro.generation.decode import (
-    GenerationConfig,
-    greedy_pick,
-    greedy_pick_rows,
-)
+from repro.generation.decode import GenerationConfig
+from repro.generation.rows import RowBatch, drive
 from repro.generation.speculative import decode_speculation_safe
 from repro.inference.engine import InferenceEngine, Session
-from repro.inference.kvcache import KVCache, PooledKVCache
+from repro.inference.kvcache import PooledKVCache
 from repro.obs.runtime import telemetry as _telemetry
 
 __all__ = ["BatchedSpeculativeDecoder"]
-
-
-@dataclass
-class _SpecRow:
-    """One live sequence: target + draft slot state for the round loop."""
-
-    index: int
-    slot: int | None
-    caches: list[KVCache]
-    d_slot: int
-    d_caches: list[KVCache]
-    d_len: int
-    prompt_len: int
-    out: list[int] = field(default_factory=list)
 
 
 class BatchedSpeculativeDecoder:
@@ -179,8 +166,15 @@ class BatchedSpeculativeDecoder:
                 for i, prompt in enumerate(prompts)
             ]
         tel = _telemetry()
+        width = min(self.max_batch, len(prompts))
+        pool, d_pool = self._pools(width)
+        batch = RowBatch(
+            self.engine, pool, self.config.eos_id, width,
+            draft=self.draft, draft_pool=d_pool, depth=self.depth,
+        )
+        max_new = self.config.max_new_tokens
         if not tel.active:
-            return self._decode_many_impl(prompts, sessions, tel)
+            return drive(batch, prompts, max_new, sessions, tel)
         t0 = time.perf_counter()
         with tel.span(
             "decode.spec_batch",
@@ -188,202 +182,9 @@ class BatchedSpeculativeDecoder:
             prompts=len(prompts),
             max_batch=self.max_batch,
         ) as span:
-            out = self._decode_many_impl(prompts, sessions, tel)
+            out = drive(batch, prompts, max_new, sessions, tel)
             span.set(new_tokens=sum(len(ids) for ids in out))
         tel.metrics.histogram("decode.spec_batch_ms").observe(
             (time.perf_counter() - t0) * 1e3
         )
         return out
-
-    # -- composed round loop ----------------------------------------------------
-
-    def _decode_many_impl(
-        self,
-        prompts: list[list[int]],
-        sessions: "list[Session | None] | None",
-        tel,
-    ) -> list[list[int]]:
-        engine, draft, config = self.engine, self.draft, self.config
-        eos, max_new = config.eos_id, config.max_new_tokens
-        results: list[list[int]] = [[] for _ in prompts]
-        width = min(self.max_batch, len(prompts))
-        pool, d_pool = self._pools(width)
-        traced = tel.active
-        pending = list(range(len(prompts)))
-        pending.reverse()  # pop() admits in prompt order
-        active: list[_SpecRow] = []
-
-        def finish(row: _SpecRow) -> None:
-            results[row.index] = row.out
-            if row.slot is not None:
-                pool.release(row.slot)
-            d_pool.release(row.d_slot)
-            if traced:
-                # Real admissible capacity, *after* the eager release.
-                tel.metrics.gauge("decode.free_slots").set(pool.n_free)
-
-        def admit(refill: bool) -> None:
-            """Prefill pending prompts into free slots (both sides).
-
-            EOS-as-first-token and one-token budgets retire before the
-            draft side is ever touched — such a row never joins a round.
-            """
-            while pending and len(active) < width and d_pool.n_free > 0:
-                index = pending.pop()
-                if traced and refill:
-                    tel.metrics.counter("decode.slot_refills").add()
-                prompt = prompts[index]
-                session = None if sessions is None else sessions[index]
-                if session is not None:
-                    slot, caches = None, session.caches
-                    logits = session.last_logits
-                else:
-                    slot = pool.acquire()
-                    caches = pool.caches(slot)
-                    logits = engine.forward(
-                        prompt, caches, start_pos=0, iteration=0
-                    )[-1]
-                first = greedy_pick(logits)
-                if first == eos:
-                    results[index] = []
-                    if slot is not None:
-                        pool.release(slot)
-                    continue
-                if max_new == 1:
-                    results[index] = [first]
-                    if slot is not None:
-                        pool.release(slot)
-                    continue
-                d_slot = d_pool.acquire()
-                d_caches = d_pool.caches(d_slot)
-                draft.forward(prompt, d_caches, start_pos=0, iteration=0)
-                active.append(
-                    _SpecRow(
-                        index=index,
-                        slot=slot,
-                        caches=caches,
-                        d_slot=d_slot,
-                        d_caches=d_caches,
-                        d_len=len(prompt),
-                        prompt_len=len(prompt),
-                        out=[first],
-                    )
-                )
-
-        admit(refill=False)
-        while active:
-            if traced:
-                tel.metrics.histogram("decode.batch_occupancy").observe(
-                    len(active)
-                )
-            # Same per-row budget rule as the serial round: never
-            # propose past the token budget (the chunk emits at most
-            # gamma + 1 tokens).
-            gammas = [
-                min(self.depth, max_new - len(row.out) - 1) for row in active
-            ]
-            proposals: list[list[int]] = [[] for _ in active]
-            prop = [i for i, g in enumerate(gammas) if g > 0]
-            d_logits: dict[int, np.ndarray] = {}
-            if prop:
-                # Draft catch-up on tokens the target emitted since the
-                # draft cache was last valid (1–2 per row); feeds are
-                # ragged, so group rows by feed length.
-                feeds = {
-                    i: active[i].out[active[i].d_len - active[i].prompt_len:]
-                    for i in prop
-                }
-                for group in _by_length(prop, lambda i: len(feeds[i])):
-                    logits = draft.forward_chunk_batch(
-                        [feeds[i] for i in group],
-                        [active[i].d_caches for i in group],
-                        [active[i].d_len for i in group],
-                        [len(active[i].out) for i in group],
-                    )
-                    for j, i in enumerate(group):
-                        d_logits[i] = logits[j][-1]
-                        active[i].d_len += len(feeds[i])
-                # Propose gamma tokens per row: one draft step batch per
-                # depth level, rows dropping out as their gamma is met.
-                for step in range(max(gammas)):
-                    alive = [i for i in prop if gammas[i] > step]
-                    for i in alive:
-                        proposals[i].append(greedy_pick(d_logits[i]))
-                    feed = [i for i in alive if gammas[i] > step + 1]
-                    if feed:
-                        logits = draft.forward_step_batch(
-                            [proposals[i][-1] for i in feed],
-                            [active[i].d_caches for i in feed],
-                            [active[i].d_len for i in feed],
-                            [len(active[i].out) + step + 1 for i in feed],
-                        )
-                        for j, i in enumerate(feed):
-                            d_logits[i] = logits[j]
-                            active[i].d_len += 1
-            # Batched verification: one target chunk forward per
-            # distinct chunk length (pending token + proposals).
-            target_lens = [row.caches[0].length for row in active]
-            chunks = [
-                [active[i].out[-1], *proposals[i]] for i in range(len(active))
-            ]
-            v_logits: dict[int, np.ndarray] = {}
-            for group in _by_length(
-                list(range(len(active))), lambda i: len(chunks[i])
-            ):
-                logits = engine.forward_chunk_batch(
-                    [chunks[i] for i in group],
-                    [active[i].caches for i in group],
-                    [target_lens[i] for i in group],
-                    [len(active[i].out) for i in group],
-                )
-                for j, i in enumerate(group):
-                    v_logits[i] = logits[j]
-            # Per-row commit/rollback — the serial accept walk verbatim.
-            still: list[_SpecRow] = []
-            for i, row in enumerate(active):
-                accepted = 0
-                stop = False
-                for j, token in enumerate(greedy_pick_rows(v_logits[i])):
-                    if token == eos:
-                        stop = True
-                        break
-                    row.out.append(token)
-                    if j < len(proposals[i]) and token == proposals[i][j]:
-                        accepted += 1
-                        continue
-                    break
-                if traced:
-                    tel.metrics.counter("decode.spec_rounds").add()
-                    tel.metrics.counter("decode.spec_rejected").add(
-                        gammas[i] - accepted
-                    )
-                    tel.metrics.histogram("decode.spec_accept_len").observe(
-                        accepted
-                    )
-                # Roll back rejected K/V: per-slot truncation fires the
-                # cache watchers, so a pinned KV-fault injector restores
-                # and re-arms without touching sibling slots.
-                for cache in row.caches:
-                    cache.truncate(target_lens[i] + 1 + accepted)
-                if stop or len(row.out) >= max_new:
-                    finish(row)
-                    continue
-                keep = row.d_len - max(
-                    0, (gammas[i] - 1) - min(accepted, gammas[i] - 1)
-                )
-                for cache in row.d_caches:
-                    cache.truncate(keep)
-                row.d_len = keep
-                still.append(row)
-            active = still
-            admit(refill=True)
-        return results
-
-
-def _by_length(indices: list[int], length) -> list[list[int]]:
-    """Group ``indices`` by ``length(i)``, preserving order within each
-    group (ragged rows become one rectangular engine call per length)."""
-    groups: dict[int, list[int]] = {}
-    for i in indices:
-        groups.setdefault(length(i), []).append(i)
-    return list(groups.values())

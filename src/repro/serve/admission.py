@@ -42,6 +42,8 @@ class ServeRejected(RuntimeError):
       (overload shedding; retry later);
     * ``"prompt_too_long"`` — prompt plus token budget exceeds the
       engine's context window (never retryable);
+    * ``"bad_token"`` — a prompt token id lies outside the vocabulary
+      (never retryable);
     * ``"shutdown"`` — the server is stopping and accepts no new work.
     """
 

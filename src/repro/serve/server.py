@@ -24,18 +24,30 @@ long-running serving loop, the end-to-end setting the paper studies:
   saturating tenant cannot starve a light one's TTFT.
 * **Speculative serving** — constructed with a same-tokenizer ``draft``
   engine, the pump replaces the single-token step with a batched
-  draft-and-verify round (the
-  :class:`~repro.generation.spec_batched.BatchedSpeculativeDecoder`
-  schedule): the draft proposes up to ``speculation_depth`` tokens for
-  every decoding row while newly admitted prompts prefill in the same
-  scheduling round, the target verifies all proposals in grouped
-  chunked batched forwards, and ragged accept lengths retire/back-fill
-  rows at round granularity.  Emitted tokens remain argmaxes of target
+  draft-and-verify round: the draft proposes up to
+  ``speculation_depth`` tokens for every decoding row, the target
+  verifies all proposals in grouped chunked batched forwards, and
+  ragged accept lengths retire/back-fill rows at round granularity.
+  A row joins the draft pool in its first round, after its first
+  token has streamed.  Emitted tokens remain argmaxes of target
   logits, so streams stay token-identical to serial greedy decode.
+* **Failure containment** — a prompt with a token id outside the
+  vocabulary is refused at :meth:`InferenceServer.submit` (reason
+  ``"bad_token"``); a forward that raises finishes only the requests
+  whose rows it ran, with finish reason ``"error"``, and the pump
+  keeps serving.  If the pump thread exits, the server stops
+  accepting work.
 
-**Equivalence contract**: rows decode greedily via the same
-``forward_step_batch`` the :class:`~repro.generation.batched.BatchedDecoder`
-uses, with the same NaN-safe argmax rule — each served request's
+**One core, three drivers**: the rounds are
+:class:`~repro.generation.rows.RowBatch`'s — the same ``step`` and
+``spec_round`` that :class:`~repro.generation.batched.BatchedDecoder`
+and :class:`~repro.generation.spec_batched.BatchedSpeculativeDecoder`
+run through their offline :func:`~repro.generation.rows.drive` loop.
+The pump is the streaming driver: it admits between rounds, pushes
+each round's new tokens and handles cancellation.
+
+**Equivalence contract**: rows decode greedily with the same NaN-safe
+argmax rule as serial decoding — each served request's
 tokens are identical to a serial ``greedy_decode`` of its prompt
 (bit-identical at batch width 1, argmax-identical above; asserted
 token-for-token by the load generator's equivalence gate and the serve
@@ -60,16 +72,10 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.generation.decode import (
-    GenerationConfig,
-    greedy_pick,
-    greedy_pick_rows,
-)
-from repro.generation.spec_batched import _by_length
+from repro.generation.decode import GenerationConfig
+from repro.generation.rows import Row, RowBatch
 from repro.inference.engine import InferenceEngine
-from repro.inference.kvcache import KVCache, PooledKVCache
+from repro.inference.kvcache import PooledKVCache
 from repro.obs.runtime import telemetry as _telemetry
 from repro.serve.admission import (
     ServeRejected,
@@ -93,9 +99,10 @@ class StreamHandle:
     retires the row at the next step boundary and frees its KV slot.
 
     After completion, :attr:`finish_reason` is one of ``"eos"``,
-    ``"length"``, ``"cancelled"`` or ``"shutdown"``, and
-    :attr:`ttft_s` / :attr:`latency_s` / :attr:`tokens` carry the
-    request's timings and output.
+    ``"length"``, ``"cancelled"``, ``"shutdown"`` or ``"error"`` (a
+    forward raised while the request held a row; :attr:`error` holds
+    the exception), and :attr:`ttft_s` / :attr:`latency_s` /
+    :attr:`tokens` carry the request's timings and output.
     """
 
     def __init__(self, request: "_Request") -> None:
@@ -106,6 +113,7 @@ class StreamHandle:
         self.finish_reason: str | None = None
         self.ttft_s: float | None = None
         self.latency_s: float | None = None
+        self.error: BaseException | None = None
         self.kv_fired: bool = False
         """For requests submitted with a ``kv_fault``: whether the armed
         KV fault actually struck before the stream finished."""
@@ -171,16 +179,8 @@ class _Request:
     t_submit: float
     handle: StreamHandle = field(init=False)
     cancelled: bool = False
-    # Batch-row state, populated at admission.
-    slot: int | None = None
-    caches: list[KVCache] | None = None
-    position: int = 0
-    iteration: int = 0
-    last_token: int = -1
-    # Draft-side state (speculative serving only).
-    d_slot: int | None = None
-    d_caches: list[KVCache] | None = None
-    d_len: int = 0
+    row: Row | None = None
+    """The request's batch row while it holds slots."""
     kv_fault: "object | None" = None
     """Optional :class:`~repro.fi.sites.FaultSite` (a KV fault model):
     armed against this request's pool slot at prefill, disarmed and
@@ -251,7 +251,10 @@ class InferenceServer:
         # discovered inside `_dequeue`).
         self._lock = threading.RLock()
         self._work = threading.Condition(self._lock)
-        self._active: list[_Request] = []
+        self._batch = RowBatch(
+            engine, self.pool, config.eos_id, self.max_batch,
+            draft=draft, draft_pool=self.draft_pool, depth=speculation_depth,
+        )
         self._ids = itertools.count()
         self._thread: threading.Thread | None = None
         self._stop = False
@@ -341,8 +344,9 @@ class InferenceServer:
         """Enqueue a prompt; returns its stream handle immediately.
 
         Raises :class:`ServeRejected` when the server is shutting down,
-        the prompt cannot fit the context window, or the tenant's
-        bounded queue is full (overload shed).
+        a token id lies outside the vocabulary, the prompt cannot fit
+        the context window, or the tenant's bounded queue is full
+        (overload shed).
 
         ``kv_fault`` optionally attaches a KV-model
         :class:`~repro.fi.sites.FaultSite` to the request: the pump
@@ -358,6 +362,11 @@ class InferenceServer:
         name = tenant or self.default_tenant
         if not prompt_ids:
             raise ValueError("prompt must contain at least one token")
+        vocab = self.engine.config.vocab_size
+        if min(prompt_ids) < 0 or max(prompt_ids) >= vocab:
+            raise ServeRejected(
+                name, "bad_token", f"token ids must lie in [0, {vocab})"
+            )
         if kv_fault is not None and not kv_fault.fault_model.is_kv:
             raise ValueError(
                 f"submit(kv_fault=...) takes a KV fault model,"
@@ -424,13 +433,13 @@ class InferenceServer:
                 with self._work:
                     while (
                         not self._stop
-                        and not self._active
+                        and not self._batch.rows
                         and self._sched.queued() == 0
                     ):
                         self._work.wait(self._idle_wait_s)
                     if self._stop and (
                         not self._drain
-                        or (not self._active and self._sched.queued() == 0)
+                        or (not self._batch.rows and self._sched.queued() == 0)
                     ):
                         break
                     tel = _telemetry()
@@ -439,11 +448,14 @@ class InferenceServer:
                             self._sched.queued()
                         )
                 self._admit()
-                if self._active:
+                if self._batch.rows:
                     self._step()
         finally:
-            # Never strand a stream: whatever remains (abrupt stop,
-            # engine exception) terminates with a clean sentinel.
+            # Never strand a stream or accept work nobody will serve:
+            # whatever remains terminates with a clean sentinel and
+            # later submits are refused.
+            with self._lock:
+                self._stop = True
             self._finalize_pending("shutdown")
 
     def _dequeue(self) -> _Request | None:
@@ -469,7 +481,7 @@ class InferenceServer:
         step is immediately admissible against.
         """
         tel = _telemetry()
-        while len(self._active) < self.max_batch and self.pool.n_free > 0:
+        while self._batch.room():
             with self._lock:
                 request = self._dequeue()
             if request is None:
@@ -481,229 +493,76 @@ class InferenceServer:
     def _prefill(self, request: _Request) -> None:
         """Run the prompt forward and emit the first token (the TTFT
         token).  EOS-as-first-token and one-token budgets retire here —
-        the row never occupies a batch slot across a step."""
-        slot = self.pool.acquire()
-        request.slot = slot
-        request.caches = self.pool.caches(slot)
-        if request.kv_fault is not None:
-            # Lazy import: the serving layer is usable without the FI
-            # package, and fi imports the engine this module wraps.
-            from repro.fi.injector import KVFaultInjector
+        the row never occupies a batch slot across a step.  A raising
+        prefill finishes only this request, with reason ``"error"``."""
+        try:
+            row = request.row = self._batch.open(
+                request.prompt, request.max_new, tag=request
+            )
+            if request.kv_fault is not None:
+                # Lazy import: the serving layer is usable without the FI
+                # package, and fi imports the engine this module wraps.
+                from repro.fi.injector import KVFaultInjector
 
-            # Pinning to this request's slot views scopes the strike to
-            # this one sequence; arming before the prompt forward lets
-            # iteration-0 sites corrupt prefill K/V.
-            request.kv_injector = KVFaultInjector(
-                self.engine, request.kv_fault, caches=request.caches
-            ).__enter__()
-        logits = self.engine.forward(
-            request.prompt, request.caches, start_pos=0, iteration=0
-        )[-1]
-        request.position = len(request.prompt)
-        request.iteration = 0
+                # Pinning to this request's slot views scopes the strike
+                # to this one sequence; arming before the prompt forward
+                # lets iteration-0 sites corrupt prefill K/V.
+                request.kv_injector = KVFaultInjector(
+                    self.engine, request.kv_fault, caches=row.caches
+                ).__enter__()
+            _, n_new, reason = self._batch.prefill(row)
+        except Exception as exc:
+            self._finish(request, "error", error=exc)
+            return
         if request.cancelled:
             self._finish(request, "cancelled")
             return
-        token = greedy_pick(logits)
-        now = time.perf_counter()
-        if token == self.config.eos_id:
-            self._finish(request, "eos")
-            return
-        request.handle._push(token, now)
-        if len(request.handle.tokens) >= request.max_new:
-            self._finish(request, "length")
-            return
-        request.last_token = token
-        if self.draft is not None:
-            # The draft side joins only once the row survives to a real
-            # decode round — EOS-first and one-token budgets retired
-            # above without ever touching the draft pool.
-            request.d_slot = self.draft_pool.acquire()
-            request.d_caches = self.draft_pool.caches(request.d_slot)
-            self.draft.forward(
-                request.prompt, request.d_caches, start_pos=0, iteration=0
-            )
-            request.d_len = len(request.prompt)
-        self._active.append(request)
+        self._emit(request, n_new, reason, time.perf_counter())
 
     def _step(self) -> None:
-        """Advance every active row one token (or, with a draft engine
-        attached, one speculative round); retire eagerly."""
+        """Advance every active row one round — one token, or with a
+        draft engine attached one speculative round — and retire
+        eagerly.  A raising round finishes its rows with ``"error"``."""
         # Cancellations observed at step granularity: drop the row (and
         # its slot) before paying for its forward.
-        still: list[_Request] = []
-        for request in self._active:
-            if request.cancelled:
-                self._finish(request, "cancelled")
-            else:
-                still.append(request)
-        self._active = still
-        if not self._active:
+        for row in list(self._batch.rows):
+            if row.tag.cancelled:
+                self._finish(row.tag, "cancelled")
+        rows = list(self._batch.rows)
+        if not rows:
             return
         tel = _telemetry()
         if tel.active:
-            tel.metrics.histogram("serve.batch_occupancy").observe(
-                len(self._active)
-            )
-        if self.draft is not None:
-            self._spec_round(tel)
+            tel.metrics.histogram("serve.batch_occupancy").observe(len(rows))
+        try:
+            results = self._batch.advance()
+        except Exception as exc:
+            for row in rows:
+                self._finish(row.tag, "error", error=exc)
             return
-        logits = self.engine.forward_step_batch(
-            [r.last_token for r in self._active],
-            [r.caches for r in self._active],
-            [r.position for r in self._active],
-            [r.iteration + 1 for r in self._active],
-        )
         now = time.perf_counter()
-        still = []
-        for request, token in zip(self._active, greedy_pick_rows(logits)):
-            request.iteration += 1
-            request.position += 1
-            if token == self.config.eos_id:
-                self._finish(request, "eos")
-                continue
+        for row, n_new, reason in results:
+            if tel.active and self.draft is not None:
+                tel.metrics.histogram(
+                    f"serve.tenant.{row.tag.tenant}.spec_accept_len"
+                ).observe(row.accepted)
+            self._emit(row.tag, n_new, reason, now)
+
+    def _emit(
+        self, request: _Request, n_new: int, reason: str | None, now: float
+    ) -> None:
+        """Stream the ``n_new`` tokens a round added; retire on finish."""
+        out = request.row.out
+        for token in out[len(out) - n_new:]:
             request.handle._push(token, now)
-            if len(request.handle.tokens) >= request.max_new:
-                self._finish(request, "length")
-                continue
-            request.last_token = token
-            still.append(request)
-        self._active = still
-
-    def _spec_round(self, tel) -> None:
-        """One draft-and-verify round over every active row.
-
-        The same round schedule as
-        :class:`~repro.generation.spec_batched.BatchedSpeculativeDecoder`
-        — grouped draft catch-up chunks, batched proposal steps, one
-        target ``forward_chunk_batch`` per distinct chunk length, then
-        per-row commit/rollback — except tokens stream into the handles
-        as they commit and EOS / budget / cancellation retire rows at
-        round granularity.  Per-slot truncation on rollback fires the
-        cache watchers, so a request's pinned KV-fault injector restores
-        its bits and re-arms without disturbing sibling streams.
-
-        Every emitted token is an argmax of target logits over the true
-        emitted prefix, so served streams stay token-identical to serial
-        ``greedy_decode`` regardless of what the draft proposes.
-        """
-        engine, draft = self.engine, self.draft
-        eos = self.config.eos_id
-        active = self._active
-        traced = tel.active
-        depth = self.speculation_depth
-        # Budget rule per row: never propose past max_new (the verify
-        # chunk emits at most gamma + 1 tokens), so "length" lands
-        # exactly, never mid-chunk.
-        gammas = [
-            min(depth, r.max_new - len(r.handle.tokens) - 1) for r in active
-        ]
-        proposals: list[list[int]] = [[] for _ in active]
-        prop = [i for i, g in enumerate(gammas) if g > 0]
-        d_logits: dict[int, np.ndarray] = {}
-        if prop:
-            feeds = {
-                i: active[i].handle.tokens[
-                    active[i].d_len - len(active[i].prompt):
-                ]
-                for i in prop
-            }
-            for group in _by_length(prop, lambda i: len(feeds[i])):
-                logits = draft.forward_chunk_batch(
-                    [feeds[i] for i in group],
-                    [active[i].d_caches for i in group],
-                    [active[i].d_len for i in group],
-                    [len(active[i].handle.tokens) for i in group],
-                )
-                for j, i in enumerate(group):
-                    d_logits[i] = logits[j][-1]
-                    active[i].d_len += len(feeds[i])
-            for step in range(max(gammas)):
-                alive = [i for i in prop if gammas[i] > step]
-                for i in alive:
-                    proposals[i].append(greedy_pick(d_logits[i]))
-                feed = [i for i in alive if gammas[i] > step + 1]
-                if feed:
-                    logits = draft.forward_step_batch(
-                        [proposals[i][-1] for i in feed],
-                        [active[i].d_caches for i in feed],
-                        [active[i].d_len for i in feed],
-                        [
-                            len(active[i].handle.tokens) + step + 1
-                            for i in feed
-                        ],
-                    )
-                    for j, i in enumerate(feed):
-                        d_logits[i] = logits[j]
-                        active[i].d_len += 1
-        target_lens = [r.caches[0].length for r in active]
-        chunks = [
-            [active[i].last_token, *proposals[i]] for i in range(len(active))
-        ]
-        v_logits: dict[int, np.ndarray] = {}
-        for group in _by_length(
-            list(range(len(active))), lambda i: len(chunks[i])
-        ):
-            logits = engine.forward_chunk_batch(
-                [chunks[i] for i in group],
-                [active[i].caches for i in group],
-                [target_lens[i] for i in group],
-                [len(active[i].handle.tokens) for i in group],
-            )
-            for j, i in enumerate(group):
-                v_logits[i] = logits[j]
-        now = time.perf_counter()
-        still: list[_Request] = []
-        for i, request in enumerate(active):
-            accepted = 0
-            stop = False
-            for j, token in enumerate(greedy_pick_rows(v_logits[i])):
-                if token == eos:
-                    stop = True
-                    break
-                request.handle._push(token, now)
-                if j < len(proposals[i]) and token == proposals[i][j]:
-                    accepted += 1
-                    continue
-                break
-            if traced:
-                metrics = tel.metrics
-                metrics.counter("decode.spec_rounds").add()
-                metrics.counter("decode.spec_rejected").add(
-                    gammas[i] - accepted
-                )
-                metrics.histogram("decode.spec_accept_len").observe(accepted)
-                metrics.histogram(
-                    f"serve.tenant.{request.tenant}.spec_accept_len"
-                ).observe(accepted)
-            # Commit the accepted prefix, roll back the rejects: the
-            # per-slot truncation fires KV-cache watchers (pinned fault
-            # injectors restore + re-arm) and leaves sibling slots
-            # untouched.
-            for cache in request.caches:
-                cache.truncate(target_lens[i] + 1 + accepted)
-            request.position = request.caches[0].length
-            request.iteration = len(request.handle.tokens)
-            if stop:
-                self._finish(request, "eos")
-                continue
-            if len(request.handle.tokens) >= request.max_new:
-                self._finish(request, "length")
-                continue
-            request.last_token = request.handle.tokens[-1]
-            keep = request.d_len - max(
-                0, (gammas[i] - 1) - min(accepted, gammas[i] - 1)
-            )
-            for cache in request.d_caches:
-                cache.truncate(keep)
-            request.d_len = keep
-            still.append(request)
-        self._active = still
+        if reason is not None:
+            self._finish(request, reason)
 
     def _finish(
-        self, request: _Request, reason: str, admitted: bool = True
+        self, request: _Request, reason: str, admitted: bool = True,
+        error: BaseException | None = None,
     ) -> None:
-        """Retire a request: release its KV slot, terminate its stream,
+        """Retire a request: release its KV slots, terminate its stream,
         record SLO telemetry."""
         if request.kv_injector is not None:
             # Disarm before the slot goes back to the pool: __exit__
@@ -717,16 +576,12 @@ class InferenceServer:
             with self._lock:
                 self._kv_fault_inflight -= 1
             request.kv_fault = None
-        if request.slot is not None:
-            self.pool.release(request.slot)
-            request.slot = None
-            request.caches = None
-        if request.d_slot is not None:
-            self.draft_pool.release(request.d_slot)
-            request.d_slot = None
-            request.d_caches = None
+        if request.row is not None:
+            self._batch.close(request.row)
+            request.row = None
         now = time.perf_counter()
         handle = request.handle
+        handle.error = error
         handle._finish(reason, now)
         with self._lock:
             state = self._sched.get(request.tenant)
@@ -763,9 +618,8 @@ class InferenceServer:
         """Terminate every queued and active request (pump exit path)."""
         with self._lock:
             leftovers: list[tuple[_Request, bool]] = [
-                (r, True) for r in self._active
+                (row.tag, True) for row in self._batch.rows
             ]
-            self._active = []
             for state in self._sched.tenants():
                 while state.queue:
                     leftovers.append((state.queue.popleft(), False))
